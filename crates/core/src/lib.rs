@@ -36,7 +36,7 @@ pub mod selection;
 pub mod stats;
 
 pub use config::{OrchestratorConfig, SelectionWeights};
-pub use executor::{DeclineReason, ExecutorSim};
+pub use executor::{Admission, DeclineReason, ExecutorSim};
 pub use node::{NodeAction, NodeEvent, OrchestratorNode, WireMsg};
 pub use protocol::{OffloadMsg, TaskOutcome};
 pub use selection::{score_candidates, CandidateScore};

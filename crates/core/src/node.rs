@@ -15,7 +15,7 @@
 //!   asynchronous offload protocol for its own tasks.
 
 use crate::config::OrchestratorConfig;
-use crate::executor::{gather_inputs, DeclineReason, ExecutorSim};
+use crate::executor::{gather_inputs, Admission, DeclineReason, ExecutorSim};
 use crate::protocol::{OffloadMsg, RequesterBook, RequesterDirective, TaskOutcome};
 use crate::selection::score_candidates;
 use crate::stats::OrchestratorStats;
@@ -374,7 +374,7 @@ impl OrchestratorNode {
                     self.cfg.max_backlog_factor,
                 );
                 match admission {
-                    Ok(eta) => {
+                    Ok(Admission { eta, program }) => {
                         let task_id = task.id;
                         self.executor.reserve(task_id.raw(), task.requirements.gas);
                         let inputs = gather_inputs(&self.catalog, &self.store, &task.inputs, now);
@@ -390,7 +390,11 @@ impl OrchestratorNode {
                             });
                             return;
                         };
-                        match self.executor.execute(now, task_id.raw(), &task, &inputs) {
+                        let gas = task.requirements.gas;
+                        match self
+                            .executor
+                            .execute(now, task_id.raw(), &program, gas, &inputs)
+                        {
                             Ok(result) => {
                                 self.stats.offers_accepted += 1;
                                 self.stats.results_returned += 1;

@@ -3,8 +3,21 @@
 //! Execution is fully deterministic: the same program, inputs and limits
 //! produce the same outputs and gas usage on any node — which is what lets
 //! AirDnD verify results by redundant execution (RQ3).
+//!
+//! [`execute`] runs the pre-decoded ops that [`verify`](super::verify())
+//! built. The operand stack is a fixed power-of-two array indexed under a
+//! mask, with the top word kept in a local. Gas and steps are charged once
+//! per basic block, at the block's charge op. A block whose charge would
+//! cross `max_gas` is run op by op instead, through the same handlers,
+//! each op charged before it runs. Such a block cannot complete, so the
+//! run ends inside it at exactly the instruction a per-instruction meter
+//! stops at: the same [`Trap::OutOfGas`], or the same earlier runtime trap
+//! with the same `pc`. Outputs, `gas_used`, `steps` and every [`Trap`] are
+//! therefore bit-identical to charging and running one instruction at a
+//! time.
 
-use super::isa::{gas_cost, Instr};
+use super::decode::{Decoded, Meter, Op};
+use super::isa::MAX_STACK;
 use super::verify::VerifiedProgram;
 use std::error::Error;
 use std::fmt;
@@ -92,7 +105,18 @@ impl fmt::Display for Trap {
 
 impl Error for Trap {}
 
+/// Operand-stack slots: a power of two covering every height the verifier
+/// allows, so masked indexing needs no bounds check and cannot panic.
+const STACK_SLOTS: usize = MAX_STACK.next_power_of_two();
+const SLOT_MASK: usize = STACK_SLOTS - 1;
+
 /// Executes a verified program against `inputs`.
+///
+/// Runs the program's pre-decoded ops (see [`verify`](super::verify())):
+/// gas and steps are charged once per basic block, and a block that would
+/// cross `limits.max_gas` is replayed op by op so that the result — the
+/// outputs, `gas_used`, `steps`, or the exact [`Trap`] — is what charging
+/// every instruction before running it gives.
 ///
 /// # Errors
 ///
@@ -102,213 +126,269 @@ pub fn execute(
     inputs: &[i64],
     limits: ExecLimits,
 ) -> Result<Execution, Trap> {
-    let code = program.program().code();
-    let mem_words = program.program().memory_words() as usize;
-    let mut memory = vec![0i64; mem_words];
-    let mut stack: Vec<i64> = Vec::with_capacity(program.max_stack() as usize);
+    let Decoded { ops, meter } = program.decoded();
+    let mut stack = [0; STACK_SLOTS];
+    let mut memory = vec![0; program.program().memory_words() as usize];
     let mut outputs = Vec::new();
-    let mut pc = 0usize;
-    let mut gas: u64 = 0;
-    let mut steps: u64 = 0;
-
-    // Stack pops are safe without checks: the verifier proved heights.
-    macro_rules! pop {
-        () => {
-            stack.pop().expect("verified program cannot underflow")
-        };
+    let mut vm = Machine {
+        ops,
+        meter,
+        limits,
+        gas: 0,
+        steps: 0,
+        tos: 0,
+        sp: 0,
+        stack: &mut stack,
+        memory: &mut memory,
+        inputs,
+        outputs: &mut outputs,
+    };
+    if let Stop::Crossing(ip) = vm.run::<false>(0)? {
+        // The block at `ip` would cross the limit: replay it op by op. It
+        // cannot complete (its total is over budget), so this ends in the
+        // first trap — out of gas, or a runtime trap met before that point.
+        vm.run::<true>(ip + 1)?;
     }
-
-    while pc < code.len() {
-        let instr = code[pc];
-        gas += gas_cost(instr);
-        if gas > limits.max_gas {
-            return Err(Trap::OutOfGas {
-                limit: limits.max_gas,
-            });
-        }
-        steps += 1;
-        let mut next = pc + 1;
-        match instr {
-            Instr::Push(c) => stack.push(c),
-            Instr::Pop => {
-                pop!();
-            }
-            Instr::Dup => {
-                let a = *stack.last().expect("verified");
-                stack.push(a);
-            }
-            Instr::Swap => {
-                let n = stack.len();
-                stack.swap(n - 1, n - 2);
-            }
-            Instr::Over => {
-                let a = stack[stack.len() - 2];
-                stack.push(a);
-            }
-            Instr::Add => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_add(b));
-            }
-            Instr::Sub => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_sub(b));
-            }
-            Instr::Mul => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_mul(b));
-            }
-            Instr::Div => {
-                let b = pop!();
-                let a = pop!();
-                if b == 0 {
-                    return Err(Trap::DivByZero { pc });
-                }
-                stack.push(a.wrapping_div(b));
-            }
-            Instr::Rem => {
-                let b = pop!();
-                let a = pop!();
-                if b == 0 {
-                    return Err(Trap::DivByZero { pc });
-                }
-                stack.push(a.wrapping_rem(b));
-            }
-            Instr::Neg => {
-                let a = pop!();
-                stack.push(a.wrapping_neg());
-            }
-            Instr::Abs => {
-                let a = pop!();
-                stack.push(a.wrapping_abs());
-            }
-            Instr::Min => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.min(b));
-            }
-            Instr::Max => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a.max(b));
-            }
-            Instr::And => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a & b);
-            }
-            Instr::Or => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a | b);
-            }
-            Instr::Xor => {
-                let b = pop!();
-                let a = pop!();
-                stack.push(a ^ b);
-            }
-            Instr::Not => {
-                let a = pop!();
-                stack.push(!a);
-            }
-            Instr::Shl => {
-                let s = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_shl(s as u32 & 63));
-            }
-            Instr::Shr => {
-                let s = pop!();
-                let a = pop!();
-                stack.push(a.wrapping_shr(s as u32 & 63));
-            }
-            Instr::Eq => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a == b) as i64);
-            }
-            Instr::Ne => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a != b) as i64);
-            }
-            Instr::Lt => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a < b) as i64);
-            }
-            Instr::Le => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a <= b) as i64);
-            }
-            Instr::Gt => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a > b) as i64);
-            }
-            Instr::Ge => {
-                let b = pop!();
-                let a = pop!();
-                stack.push((a >= b) as i64);
-            }
-            Instr::Jmp(t) => next = t as usize,
-            Instr::Jz(t) => {
-                if pop!() == 0 {
-                    next = t as usize;
-                }
-            }
-            Instr::Jnz(t) => {
-                if pop!() != 0 {
-                    next = t as usize;
-                }
-            }
-            Instr::Load => {
-                let addr = pop!();
-                let Some(&v) = usize::try_from(addr).ok().and_then(|a| memory.get(a)) else {
-                    return Err(Trap::MemOutOfBounds { pc, addr });
-                };
-                stack.push(v);
-            }
-            Instr::Store => {
-                let addr = pop!();
-                let value = pop!();
-                let Some(slot) = usize::try_from(addr).ok().and_then(|a| memory.get_mut(a)) else {
-                    return Err(Trap::MemOutOfBounds { pc, addr });
-                };
-                *slot = value;
-            }
-            Instr::Input => {
-                let index = pop!();
-                let Some(&v) = usize::try_from(index).ok().and_then(|i| inputs.get(i)) else {
-                    return Err(Trap::InputOutOfBounds { pc, index });
-                };
-                stack.push(v);
-            }
-            Instr::InputLen => stack.push(inputs.len() as i64),
-            Instr::Output => {
-                let v = pop!();
-                if outputs.len() >= limits.max_outputs {
-                    return Err(Trap::OutputLimit { pc });
-                }
-                outputs.push(v);
-            }
-            Instr::Halt => break,
-        }
-        pc = next;
-    }
+    let (gas_used, steps) = (vm.gas, vm.steps);
     Ok(Execution {
         outputs,
-        gas_used: gas,
+        gas_used,
         steps,
     })
+}
+
+/// The original instruction index of the op at `ip`, for traps only: the
+/// hot path never reads the side table.
+#[cold]
+fn pc(meter: &[Meter], ip: usize) -> usize {
+    meter[ip].pc as usize
+}
+
+/// Why [`Machine::run`] returned without a trap.
+enum Stop {
+    /// The program halted.
+    Halted,
+    /// The block whose charge op is at this index would cross the limit.
+    Crossing(usize),
+}
+
+/// Interpreter state for one execution. It holds only scalars and borrows,
+/// and no pointer into it escapes (trap paths call the free [`pc`]), so
+/// the optimiser can keep the hot fields in registers.
+struct Machine<'a> {
+    ops: &'a [Op],
+    meter: &'a [Meter],
+    limits: ExecLimits,
+    gas: u64,
+    steps: u64,
+    /// The top of stack, kept out of memory (meaningless when `sp == 0`).
+    tos: i64,
+    /// Stack height.
+    sp: usize,
+    /// The words below the top: `stack[sp - 2]` is the second from the top.
+    stack: &'a mut [i64; STACK_SLOTS],
+    memory: &'a mut [i64],
+    inputs: &'a [i64],
+    outputs: &'a mut Vec<i64>,
+}
+
+impl Machine<'_> {
+    #[inline(always)]
+    fn push(&mut self, v: i64) {
+        self.stack[self.sp.wrapping_sub(1) & SLOT_MASK] = self.tos;
+        self.tos = v;
+        self.sp = self.sp.wrapping_add(1);
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> i64 {
+        let v = self.tos;
+        self.sp = self.sp.wrapping_sub(1);
+        self.tos = self.stack[self.sp.wrapping_sub(1) & SLOT_MASK];
+        v
+    }
+
+    /// The word below the top of stack.
+    #[inline(always)]
+    fn second(&mut self) -> &mut i64 {
+        &mut self.stack[self.sp.wrapping_sub(2) & SLOT_MASK]
+    }
+
+    /// `[a, b] → [f(a, b)]`.
+    #[inline(always)]
+    fn binary(&mut self, f: impl FnOnce(i64, i64) -> i64) {
+        let a = *self.second();
+        self.sp = self.sp.wrapping_sub(1);
+        self.tos = f(a, self.tos);
+    }
+
+    #[inline(always)]
+    fn load(&self, addr: i64) -> Option<i64> {
+        let a = usize::try_from(addr).ok()?;
+        self.memory.get(a).copied()
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: i64, value: i64) -> Option<()> {
+        let a = usize::try_from(addr).ok()?;
+        *self.memory.get_mut(a)? = value;
+        Some(())
+    }
+
+    /// Runs from op `ip` until the program halts or traps. Unmetered, it
+    /// charges whole blocks and stops before one that would cross the
+    /// limit; metered, it charges every op before running it.
+    #[inline(always)]
+    fn run<const METERED: bool>(&mut self, mut ip: usize) -> Result<Stop, Trap> {
+        loop {
+            if METERED {
+                let m = self.meter[ip];
+                self.gas += u64::from(m.gas);
+                if self.gas > self.limits.max_gas {
+                    return Err(Trap::OutOfGas {
+                        limit: self.limits.max_gas,
+                    });
+                }
+                self.steps += u64::from(m.steps);
+            }
+            match self.ops[ip] {
+                Op::Charge { gas, steps } => {
+                    if !METERED {
+                        if u64::from(gas) > self.limits.max_gas - self.gas {
+                            return Ok(Stop::Crossing(ip));
+                        }
+                        self.gas += u64::from(gas);
+                        self.steps += u64::from(steps);
+                    }
+                }
+                Op::Push(c) => self.push(c),
+                Op::Pop => {
+                    self.pop();
+                }
+                Op::Dup => self.push(self.tos),
+                Op::Swap => {
+                    let b = self.tos;
+                    self.tos = std::mem::replace(self.second(), b);
+                }
+                Op::Over => {
+                    let a = *self.second();
+                    self.push(a);
+                }
+                Op::Add => self.binary(i64::wrapping_add),
+                Op::Sub => self.binary(i64::wrapping_sub),
+                Op::Mul => self.binary(i64::wrapping_mul),
+                Op::Div => {
+                    if self.tos == 0 {
+                        return Err(Trap::DivByZero {
+                            pc: pc(self.meter, ip),
+                        });
+                    }
+                    self.binary(i64::wrapping_div);
+                }
+                Op::Rem => {
+                    if self.tos == 0 {
+                        return Err(Trap::DivByZero {
+                            pc: pc(self.meter, ip),
+                        });
+                    }
+                    self.binary(i64::wrapping_rem);
+                }
+                Op::Neg => self.tos = self.tos.wrapping_neg(),
+                Op::Abs => self.tos = self.tos.wrapping_abs(),
+                Op::Min => self.binary(i64::min),
+                Op::Max => self.binary(i64::max),
+                Op::And => self.binary(|a, b| a & b),
+                Op::Or => self.binary(|a, b| a | b),
+                Op::Xor => self.binary(|a, b| a ^ b),
+                Op::Not => self.tos = !self.tos,
+                Op::Shl => self.binary(|a, s| a.wrapping_shl(s as u32 & 63)),
+                Op::Shr => self.binary(|a, s| a.wrapping_shr(s as u32 & 63)),
+                Op::Eq => self.binary(|a, b| (a == b) as i64),
+                Op::Ne => self.binary(|a, b| (a != b) as i64),
+                Op::Lt => self.binary(|a, b| (a < b) as i64),
+                Op::Le => self.binary(|a, b| (a <= b) as i64),
+                Op::Gt => self.binary(|a, b| (a > b) as i64),
+                Op::Ge => self.binary(|a, b| (a >= b) as i64),
+                Op::Jmp(t) => {
+                    ip = t as usize;
+                    continue;
+                }
+                Op::Jz(t) => {
+                    if self.pop() == 0 {
+                        ip = t as usize;
+                        continue;
+                    }
+                }
+                Op::Jnz(t) => {
+                    if self.pop() != 0 {
+                        ip = t as usize;
+                        continue;
+                    }
+                }
+                Op::Load => {
+                    let addr = self.tos;
+                    self.tos = self.load(addr).ok_or_else(|| Trap::MemOutOfBounds {
+                        pc: pc(self.meter, ip),
+                        addr,
+                    })?;
+                }
+                Op::Store => {
+                    let addr = self.pop();
+                    let value = self.pop();
+                    self.store(addr, value)
+                        .ok_or_else(|| Trap::MemOutOfBounds {
+                            pc: pc(self.meter, ip),
+                            addr,
+                        })?;
+                }
+                Op::Input => {
+                    let index = self.tos;
+                    self.tos = usize::try_from(index)
+                        .ok()
+                        .and_then(|i| self.inputs.get(i).copied())
+                        .ok_or_else(|| Trap::InputOutOfBounds {
+                            pc: pc(self.meter, ip),
+                            index,
+                        })?;
+                }
+                Op::InputLen => self.push(self.inputs.len() as i64),
+                Op::Output => {
+                    let v = self.pop();
+                    if self.outputs.len() >= self.limits.max_outputs {
+                        return Err(Trap::OutputLimit {
+                            pc: pc(self.meter, ip),
+                        });
+                    }
+                    self.outputs.push(v);
+                }
+                Op::Halt => return Ok(Stop::Halted),
+                Op::AddImm(c) => self.tos = self.tos.wrapping_add(c),
+                Op::MulImm(c) => self.tos = self.tos.wrapping_mul(c),
+                Op::LoadImm(addr) => {
+                    let v = self.load(addr).ok_or_else(|| Trap::MemOutOfBounds {
+                        pc: pc(self.meter, ip),
+                        addr,
+                    })?;
+                    self.push(v);
+                }
+                Op::StoreImm(addr) => {
+                    let value = self.pop();
+                    self.store(addr, value)
+                        .ok_or_else(|| Trap::MemOutOfBounds {
+                            pc: pc(self.meter, ip),
+                            addr,
+                        })?;
+                }
+            }
+            ip += 1;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::isa::{Instr::*, Program};
+    use crate::vm::isa::{Instr, Instr::*, Program};
     use crate::vm::verify::verify;
 
     fn run(code: Vec<Instr>, mem: u32, inputs: &[i64]) -> Result<Execution, Trap> {

@@ -9,10 +9,15 @@
 //!   a fixed-point dataflow over stack *heights* — every join point must
 //!   agree on the height, exactly like JVM bytecode verification.
 //!
-//! A [`VerifiedProgram`] is the proof-carrying result: the interpreter only
-//! accepts verified programs, so its hot loop can skip stack checks that
-//! the type system already guarantees happened.
+//! A [`VerifiedProgram`] is the proof-carrying result, and the only thing
+//! the interpreter accepts. It also carries the program's pre-decoded
+//! form, built once here: jump targets resolved to op indices, each basic
+//! block opened by one charge of its summed gas and instruction count, and
+//! `Push c` fused with a following `Load`/`Store`/`Add`/`Mul`. Because the
+//! stack heights are proven, the interpreter keeps its operand stack in a
+//! fixed-size array with masked indexing and no per-op height checks.
 
+use super::decode::{decode, Decoded};
 use super::isa::{Instr, Program, MAX_CODE_LEN, MAX_MEMORY_WORDS, MAX_STACK};
 use std::error::Error;
 use std::fmt;
@@ -93,6 +98,7 @@ impl Error for VerifyError {}
 pub struct VerifiedProgram {
     program: Program,
     max_stack: u32,
+    decoded: Decoded,
 }
 
 impl VerifiedProgram {
@@ -104,6 +110,11 @@ impl VerifiedProgram {
     /// The proven maximum operand-stack height.
     pub fn max_stack(&self) -> u32 {
         self.max_stack
+    }
+
+    /// The pre-decoded ops the interpreter runs.
+    pub(crate) fn decoded(&self) -> &Decoded {
+        &self.decoded
     }
 
     /// Consumes the proof, returning the raw program.
@@ -186,6 +197,7 @@ pub fn verify(program: Program) -> Result<VerifiedProgram, VerifyError> {
         }
     }
     Ok(VerifiedProgram {
+        decoded: decode(&program),
         program,
         max_stack: max_seen,
     })

@@ -484,7 +484,7 @@ pub fn decode_spec(bytes: &[u8]) -> Result<TaskSpec, WireError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::library;
     use proptest::prelude::*;
@@ -574,7 +574,8 @@ mod tests {
         assert!(back.inputs[0].requirement.max_noise_sigma.is_infinite());
     }
 
-    fn arb_instr() -> impl Strategy<Value = Instr> {
+    /// Any instruction, jump targets in `0..1000`.
+    pub(crate) fn arb_instr() -> impl Strategy<Value = Instr> {
         use Instr::*;
         prop_oneof![
             any::<i64>().prop_map(Push),

@@ -43,8 +43,8 @@ fn arb_instr(code_len: u32) -> impl Strategy<Value = Instr> {
 proptest! {
     /// The verifier's core soundness promise: a verified program can trap
     /// on *data* (division, bounds, gas) but never on the stack — the
-    /// interpreter would panic on stack underflow, so simply not panicking
-    /// (and not hitting an impossible state) is the property.
+    /// interpreter relies on the proven heights and has no stack trap, so
+    /// ending in a result or a data trap without panicking is the property.
     #[test]
     fn verified_programs_never_stack_fault(
         code in proptest::collection::vec(arb_instr(40), 1..40),

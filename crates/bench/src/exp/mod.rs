@@ -5,8 +5,8 @@
 //! [`crate::workloads`] — the single source of truth for grids, runners,
 //! metrics and tables. Nothing here rolls its own sweep loop; each
 //! experiment is a [`airdnd_harness::Workload`] executed through the
-//! generic harness (worker pool, aggregation, sharding). DESIGN.md §4
-//! maps each experiment to the paper claim it tests.
+//! generic harness (worker pool, aggregation, sharding). Each entry of
+//! `EXPERIMENTS.md` names the paper claim its experiment tests.
 //!
 //! Sweep-backed delegates run their grid serially (`threads = 1`):
 //! parallelism belongs to the caller — `run_experiments --threads N`

@@ -8,8 +8,8 @@
 //!
 //! The paper is a vision paper with no quantitative evaluation of its own,
 //! so each experiment here regenerates a *constructed* figure derived from
-//! an explicit claim or research question (see DESIGN.md §4 for the
-//! mapping). Experiments run in two sizes: `quick` (seconds, CI-friendly)
+//! an explicit claim or research question (each EXPERIMENTS.md entry names
+//! the claim it reproduces). Experiments run in two sizes: `quick` (seconds, CI-friendly)
 //! and `full` (the numbers recorded in EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]

@@ -18,9 +18,8 @@
 //!   occlusion.
 //!
 //! The paper's scaled-vehicle testbed (Revere lab) is replaced by these
-//! kinematic models; see `DESIGN.md` §3 for why this preserves the
-//! observables the orchestration layer cares about (positions, velocities,
-//! in-range windows, occlusion).
+//! kinematic models, which preserve the observables the orchestration
+//! layer cares about (positions, velocities, in-range windows, occlusion).
 //!
 //! ## Example
 //!

@@ -12,6 +12,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// SNR (dB) from which [`ChannelModel::per`] is 0.0 for every frame size
+/// without evaluating the closed form. `1 - ber` already rounds to 1 at
+/// about 18.7 dB; at 20 dB `ber` is below 1e-21, five orders of magnitude
+/// under that rounding edge (2⁻⁵⁴), so the shortcut is bit-exact.
+const LOSSLESS_SNR_DB: f64 = 20.0;
+
 /// Parameters of the path-loss + PER model.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChannelModel {
@@ -60,9 +66,21 @@ impl ChannelModel {
     ///
     /// Monotone non-decreasing in frame size and non-increasing in SNR.
     pub fn per(&self, snr_db: f64, bits: u64) -> f64 {
+        // Well above the edge below, `ber` is under 1e-21: the closed form
+        // is exactly 0.0 however libm rounds, so skip all three calls.
+        if snr_db >= LOSSLESS_SNR_DB {
+            return 0.0;
+        }
         let snr = 10f64.powf(snr_db / 10.0);
         let ber = 0.5 * (-snr / 2.0).exp();
-        let ok = (1.0 - ber).powf(bits as f64);
+        let bit_ok = 1.0 - ber;
+        // `pow(1, y) == 1` for every `y`, so a bit that cannot fail (from
+        // about 18.7 dB up) makes the frame lossless: the same 0.0 the
+        // closed form gives, without the `powf`.
+        if bit_ok == 1.0 {
+            return 0.0;
+        }
+        let ok = bit_ok.powf(bits as f64);
         (1.0 - ok).clamp(0.0, 1.0)
     }
 
@@ -103,6 +121,65 @@ impl ChannelModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `per` as the closed form, with no shortcut.
+    fn per_closed_form(snr_db: f64, bits: u64) -> f64 {
+        let snr = 10f64.powf(snr_db / 10.0);
+        let ber = 0.5 * (-snr / 2.0).exp();
+        let ok = (1.0 - ber).powf(bits as f64);
+        (1.0 - ok).clamp(0.0, 1.0)
+    }
+
+    fn bit_cannot_fail(snr_db: f64) -> bool {
+        1.0 - 0.5 * (-10f64.powf(snr_db / 10.0) / 2.0).exp() == 1.0
+    }
+
+    /// The smallest SNR (dB) at which `1 - ber` rounds to exactly 1.
+    fn lossless_edge_db() -> f64 {
+        let (mut lo, mut hi) = (0.0f64, 80.0f64);
+        assert!(!bit_cannot_fail(lo) && bit_cannot_fail(hi));
+        while f64::from_bits(lo.to_bits() + 1) < hi {
+            let mid = 0.5 * (lo + hi);
+            if bit_cannot_fail(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    const FRAME_BITS: [u64; 6] = [0, 1, 8, 2048, 8 * 1_536, 1 << 40];
+
+    proptest! {
+        /// The shortcut never changes a bit of the result.
+        #[test]
+        fn per_shortcut_is_bit_exact(snr_db in -20.0f64..80.0, bits in 0u64..1_000_000) {
+            let m = model();
+            prop_assert_eq!(m.per(snr_db, bits).to_bits(), per_closed_form(snr_db, bits).to_bits());
+        }
+    }
+
+    /// Every SNR on a 1 mdB grid over [−20, 80] dB and the ulps either side
+    /// of the `1 - ber == 1` edge agree with the closed form bit for bit.
+    #[test]
+    fn per_shortcut_is_bit_exact_across_the_edge() {
+        let m = model();
+        let edge = lossless_edge_db();
+        assert!(bit_cannot_fail(edge) && !bit_cannot_fail(f64::from_bits(edge.to_bits() - 1)));
+        let near_edge = (-64i64..=64).map(|k| f64::from_bits((edge.to_bits() as i64 + k) as u64));
+        let grid = (-20_000..=80_000).map(|k| k as f64 / 1_000.0);
+        for snr_db in near_edge.chain(grid) {
+            for bits in FRAME_BITS {
+                assert_eq!(
+                    m.per(snr_db, bits).to_bits(),
+                    per_closed_form(snr_db, bits).to_bits(),
+                    "per({snr_db}, {bits})"
+                );
+            }
+        }
+    }
 
     fn model() -> ChannelModel {
         ChannelModel {

@@ -15,10 +15,10 @@
 //!   profile and an LTE/5G-like cellular uplink (with core-network RTT) used
 //!   by the cloud-offload baseline.
 //!
-//! Real radios are replaced by these models per DESIGN.md §3: the
-//! orchestration layer cares about latency, loss and goodput shapes, which
-//! the models reproduce (range cliffs, contention collapse, the V2V vs
-//! cellular RTT gap).
+//! Real radios are replaced by these models because the orchestration
+//! layer cares about latency, loss and goodput shapes, which the models
+//! reproduce (range cliffs, contention collapse, the V2V vs cellular RTT
+//! gap).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

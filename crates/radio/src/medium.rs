@@ -13,12 +13,19 @@
 //! * **Loss** — per-frame PER from the [`ChannelModel`] with a fresh
 //!   log-normal shadowing draw; unicast retries up to
 //!   [`MacParams::max_attempts`], broadcast is send-once.
+//! * **Reach** — a broadcast only considers receivers inside a fixed
+//!   horizon of `2 × nominal LOS range`, computed once per medium (and
+//!   again only if the channel is changed), so a beacon costs O(nearby
+//!   receivers) with no range bisection. Its candidate pass reuses
+//!   buffers owned by the medium and measures each candidate's distance
+//!   once; it is bit-exact to the old per-call scan (same candidates,
+//!   address order and RNG draws — pinned by a differential property
+//!   test against that scan).
 //! * **Accounting** — every call reports bytes put on the air, which the
 //!   data-transfer experiments (F2) aggregate.
 //!
 //! Explicit hidden-terminal collisions are not modelled; contention and
-//! SNR-based loss reproduce the load behaviour the experiments need (see
-//! DESIGN.md §3).
+//! SNR-based loss reproduce the load behaviour the experiments need.
 
 use crate::channel::ChannelModel;
 use crate::mac::MacParams;
@@ -29,6 +36,9 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+
+#[cfg(test)]
+mod reference;
 
 /// Radio-level address of a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -128,6 +138,11 @@ pub struct RadioMedium {
     /// medium's lifetime, so the index fully replaces it.
     los: ObstacleIndex,
     cs_range: f64,
+    /// Broadcast horizon, `2 × channel.nominal_range(true)`: receivers
+    /// beyond it are skipped. It depends only on the channel, so it is
+    /// computed when the medium is built or its channel changes, never
+    /// per beacon.
+    horizon: f64,
     /// Node positions in a uniform-grid index (cells of `cs_range`), so
     /// broadcast candidate scans touch only nearby cells instead of the
     /// whole registry.
@@ -137,6 +152,10 @@ pub struct RadioMedium {
     total_bytes_on_air: u64,
     total_airtime: SimDuration,
     queue_drops: u64,
+    /// Broadcast scratch, reused across calls: grid candidates around the
+    /// sender, then the receivers inside the horizon with their distance.
+    scan: Vec<(NodeAddr, Vec2)>,
+    receivers: Vec<(NodeAddr, Vec2, f64)>,
 }
 
 /// Speed of light, m/s (propagation delay).
@@ -163,6 +182,7 @@ impl RadioMedium {
             "carrier-sense range must be positive"
         );
         RadioMedium {
+            horizon: broadcast_horizon(&channel),
             channel,
             mac,
             los: ObstacleIndex::new(&world),
@@ -173,6 +193,8 @@ impl RadioMedium {
             total_bytes_on_air: 0,
             total_airtime: SimDuration::ZERO,
             queue_drops: 0,
+            scan: Vec::new(),
+            receivers: Vec::new(),
         }
     }
 
@@ -212,6 +234,7 @@ impl RadioMedium {
     /// the obstacle genuinely partitions the mesh.
     pub fn set_obstacle_loss_db(&mut self, loss_db: f64) {
         self.channel.obstacle_loss_db = loss_db;
+        self.horizon = broadcast_horizon(&self.channel);
     }
 
     /// Registers or moves a node.
@@ -384,8 +407,11 @@ impl RadioMedium {
     /// Broadcasts `payload_bytes` from `src`: one transmission, each
     /// registered neighbour independently survives or loses the frame.
     ///
-    /// Receivers beyond `2 × nominal range` are skipped outright (their PER
-    /// is indistinguishable from 1).
+    /// Receivers beyond the medium's fixed horizon, `2 × nominal range`,
+    /// are skipped outright (their PER is indistinguishable from 1). The
+    /// rest are drawn for in address order, shadowing then loss, exactly
+    /// as the old full-registry scan did, so deliveries, accounting and
+    /// the RNG stream are bit-identical to it.
     pub fn broadcast(
         &mut self,
         now: SimTime,
@@ -395,6 +421,7 @@ impl RadioMedium {
         let Some(src_pos) = self.positions.position(src) else {
             return (Vec::new(), TxReport::default());
         };
+        let free_at = self.airspace_free_at(src_pos);
         // Bounded transmit queue (opt-in): a beacon that cannot reach
         // the air within `max_queue_delay` is superseded by the next
         // one, so the MAC drops it. Under sustained overload this caps
@@ -404,7 +431,7 @@ impl RadioMedium {
         // The check precedes all RNG draws: capless and uncongested
         // runs are bit-for-bit unchanged.
         if let Some(cap) = self.mac.max_queue_delay {
-            if self.airspace_free_at(src_pos).saturating_since(now) > cap {
+            if free_at.saturating_since(now) > cap {
                 self.queue_drops += 1;
                 return (Vec::new(), TxReport::default());
             }
@@ -419,27 +446,31 @@ impl RadioMedium {
             (self.rng.next_u64() % (cw as u64 + 1)) as u32
         };
         let access = self.mac.difs + self.mac.backoff(slots);
-        let start = self.airspace_free_at(src_pos).max(now) + access;
+        let start = free_at.max(now) + access;
         let airtime = self.mac.tx_time(payload_bytes);
         let end = start + airtime;
         self.occupy_airspace(src_pos, end);
         self.total_airtime += airtime;
         self.total_bytes_on_air += payload_bytes + self.mac.header_bytes;
 
-        let horizon = 2.0 * self.channel.nominal_range(true);
         let bits = (payload_bytes + self.mac.header_bytes) * 8;
         // Grid cells overlapping the horizon circle, then the exact
         // historical predicate and address order — candidates, and
         // therefore every per-candidate RNG draw below, match the old
         // full-registry scan bit for bit.
-        let mut candidates: Vec<(NodeAddr, Vec2)> = Vec::new();
+        let horizon = self.horizon;
+        self.scan.clear();
         self.positions
-            .candidates_into(src_pos, horizon, &mut candidates);
-        candidates.retain(|&(a, p)| a != src && p.distance(src_pos) <= horizon);
-        candidates.sort_unstable_by_key(|&(a, _)| a);
-        let mut deliveries = Vec::new();
-        for (addr, pos) in candidates {
-            let distance = src_pos.distance(pos);
+            .candidates_into(src_pos, horizon, &mut self.scan);
+        self.receivers.clear();
+        self.receivers
+            .extend(self.scan.iter().filter_map(|&(addr, pos)| {
+                let distance = src_pos.distance(pos);
+                (addr != src && distance <= horizon).then_some((addr, pos, distance))
+            }));
+        self.receivers.sort_unstable_by_key(|&(addr, _, _)| addr);
+        let mut deliveries = Vec::with_capacity(self.receivers.len());
+        for &(addr, pos, distance) in &self.receivers {
             let los = self.los.line_of_sight(src_pos, pos);
             let shadow = self.rng.normal(0.0, self.channel.shadowing_sigma_db);
             let per = self.channel.per_at(distance, los, shadow, bits);
@@ -457,6 +488,11 @@ impl RadioMedium {
         };
         (deliveries, report)
     }
+}
+
+/// The broadcast horizon of a channel: twice its nominal LOS range.
+fn broadcast_horizon(channel: &ChannelModel) -> f64 {
+    2.0 * channel.nominal_range(true)
 }
 
 #[cfg(test)]

@@ -430,19 +430,21 @@ fn main() {
 }
 
 /// `--trace N`: the debug lens. Executes only the *first* manifest run of
-/// each selected workload with the engine's bounded trace enabled and
-/// dumps the recorded protocol events to stderr — generated worlds are
-/// hard to eyeball, so this is how you watch one run happen. Writes no
-/// artifacts and prints nothing to stdout.
+/// each selected workload with the event log enabled (up to N events per
+/// category) and dumps the rendered events to stderr — generated worlds
+/// are hard to eyeball, so this is how you watch one run happen. Writes
+/// no artifacts and prints nothing to stdout.
 fn run_trace(args: &Args, capacity: usize) {
+    use airdnd_telemetry::TelemetryOptions;
     for workload in selected(&args.names) {
-        match workload.trace_first_run(args.quick, capacity) {
-            Some(trace) => {
+        let opts = TelemetryOptions::events(capacity);
+        match workload.observe_first_run(args.quick, opts) {
+            Some(telemetry) => {
                 eprintln!(
                     "[{}] trace of run 0 ({capacity} entry cap):",
                     workload.name()
                 );
-                eprint!("{trace}");
+                eprint!("{}", telemetry.events.render());
             }
             None => eprintln!("[{}] workload has no trace support", workload.name()),
         }

@@ -1,10 +1,10 @@
 //! # airdnd-bench — the experiment harness
 //!
 //! One [`airdnd_harness::Workload`] per table/figure in `EXPERIMENTS.md`,
-//! all registered in the unified typed registry ([`workloads::registry`]);
-//! the `run_experiments` binary executes them all, prints the tables and
-//! writes machine-readable JSON to `target/experiments/`, and the `sweep`
-//! binary exposes each grid with `--threads`, `--shard i/n` and `--merge`.
+//! all registered in the unified typed registry ([`workloads::registry`]).
+//! The `sweep` binary runs them: it prints the tables, writes per-cell
+//! JSON/CSV reports to `--out`, and exposes each grid with `--threads`,
+//! `--shard i/n` and `--merge`.
 //!
 //! The paper is a vision paper with no quantitative evaluation of its own,
 //! so each experiment here regenerates a *constructed* figure derived from
@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 
 pub mod compare;
-pub mod exp;
 pub mod report;
 pub mod workloads;
 

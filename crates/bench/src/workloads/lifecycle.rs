@@ -20,7 +20,7 @@ use airdnd_harness::{
     fmt_ci, fmt_f, Aggregate, ExperimentResult, FnWorkload, Manifest, RunPlan, SeedMode, SweepSpec,
     Table,
 };
-use airdnd_scenario::{run_scenario_in, run_scenario_in_traced, ScenarioConfig, ScenarioReport};
+use airdnd_scenario::{run_scenario_in, ScenarioConfig, ScenarioReport};
 use airdnd_worldgen::{
     assign_extra_egos, ChurnProcess, DemandKind, FamilyKind, FleetProfile, GridParams,
 };
@@ -82,11 +82,6 @@ fn run_lifecycle(plan: &RunPlan<LifecycleConfig>) -> ScenarioReport {
     run_scenario_in(world, scenario)
 }
 
-fn trace_lifecycle(plan: &RunPlan<LifecycleConfig>, capacity: usize) -> String {
-    let (world, scenario) = build_lifecycle(&plan.config);
-    run_scenario_in_traced(world, scenario, capacity).1
-}
-
 fn observe_lifecycle(
     plan: &RunPlan<LifecycleConfig>,
     opts: airdnd_scenario::TelemetryOptions,
@@ -98,11 +93,6 @@ fn observe_lifecycle(
 pub(crate) fn run_multi_ego(plan: &RunPlan<MultiEgoConfig>) -> ScenarioReport {
     let (world, scenario) = build_multi_ego(&plan.config);
     run_scenario_in(world, scenario)
-}
-
-pub(crate) fn trace_multi_ego(plan: &RunPlan<MultiEgoConfig>, capacity: usize) -> String {
-    let (world, scenario) = build_multi_ego(&plan.config);
-    run_scenario_in_traced(world, scenario, capacity).1
 }
 
 pub(crate) fn observe_multi_ego(
@@ -147,7 +137,6 @@ pub fn g3() -> FnWorkload<LifecycleConfig, ScenarioReport> {
         run: run_lifecycle,
         metrics: lifecycle_metrics,
         tabulate: g3_tabulate,
-        trace: Some(trace_lifecycle),
         observe: Some(observe_lifecycle),
     }
 }
@@ -256,7 +245,6 @@ pub fn g4() -> FnWorkload<MultiEgoConfig, ScenarioReport> {
         run: run_multi_ego,
         metrics: multi_ego_metrics,
         tabulate: g4_tabulate,
-        trace: Some(trace_multi_ego),
         observe: Some(observe_multi_ego),
     }
 }

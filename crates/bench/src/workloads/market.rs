@@ -343,7 +343,6 @@ pub fn t6() -> MarketWorkload {
         run,
         metrics: market_metrics,
         tabulate: t6_tabulate,
-        trace: None,
         observe: Some(observe_market),
     }
 }
@@ -417,7 +416,6 @@ pub fn f12() -> MarketWorkload {
         run,
         metrics: market_metrics,
         tabulate: f12_tabulate,
-        trace: None,
         observe: Some(observe_market),
     }
 }

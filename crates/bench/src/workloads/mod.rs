@@ -5,11 +5,10 @@
 //! [`airdnd_harness::Workload`] each and registered here, in
 //! EXPERIMENTS.md order.
 //!
-//! One registry drives everything: `run_experiments` farms the entries
-//! across the harness pool, the `sweep` binary exposes per-run grids with
-//! `--threads`/`--shard i/n`/`--merge`, and the aggregate JSON/CSV
-//! artifacts all render through the same workload-polymorphic path. No
-//! experiment hand-rolls its own loop anymore.
+//! One registry drives everything: the `sweep` binary exposes per-run
+//! grids with `--threads`/`--shard i/n`/`--merge`, and the aggregate
+//! JSON/CSV artifacts all render through the same workload-polymorphic
+//! path. No experiment hand-rolls its own loop.
 //!
 //! Determinism: every workload except F10 is a pure function of its
 //! config, so tables and artifacts are byte-identical across thread
@@ -24,7 +23,7 @@ pub mod scenario;
 pub mod selection;
 pub mod worldgen;
 
-use airdnd_harness::{AnyWorkload, ExperimentResult, Progress};
+use airdnd_harness::AnyWorkload;
 
 /// Seed replicates per cell for the CI-replicated figures (F1/F2/F4/F7
 /// and the T6/F12 market rows): full mode runs
@@ -71,15 +70,6 @@ pub fn names() -> Vec<&'static str> {
     registry().iter().map(|w| w.name()).collect()
 }
 
-/// Executes one workload by name with silent progress; the table/series
-/// result. Panics on unknown names (callers validate against [`names`]).
-pub fn run_named(name: &str, quick: bool, threads: usize) -> ExperimentResult {
-    let workload = find(name).unwrap_or_else(|| panic!("workload `{name}` is registered"));
-    workload
-        .execute(quick, threads, &mut |_: Progress| {})
-        .result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +91,7 @@ mod tests {
     }
 
     /// Every workload's quick grid expands to a non-empty manifest — an
-    /// empty grid would make `run_experiments` silently print nothing.
+    /// empty grid would make `sweep` silently print nothing.
     #[test]
     fn every_workload_expands_runs() {
         for workload in registry() {

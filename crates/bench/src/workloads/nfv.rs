@@ -50,7 +50,6 @@ pub fn t11() -> NfvWorkload {
         run,
         metrics: t11_metrics,
         tabulate: t11_tabulate,
-        trace: None,
         observe: None,
     }
 }

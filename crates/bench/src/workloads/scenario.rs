@@ -89,19 +89,14 @@ fn run(plan: &airdnd_harness::RunPlan<ScenarioConfig>) -> ScenarioReport {
     run_scenario(plan.config)
 }
 
-/// The `sweep --trace N` hook shared by every scenario-backed workload:
-/// one run with the engine's bounded trace enabled.
-fn trace_scenario(plan: &airdnd_harness::RunPlan<ScenarioConfig>, capacity: usize) -> String {
-    airdnd_scenario::run_scenario_traced(plan.config, capacity).1
-}
-
-/// The `sweep --trace-out` / `--bench-engine` hook shared by every
-/// scenario-backed workload: one run returning the full telemetry.
+/// The `sweep --trace N` / `--trace-out` / `--bench-engine` hook shared
+/// by every scenario-backed workload: one run returning the full telemetry.
 fn observe_scenario(
     plan: &airdnd_harness::RunPlan<ScenarioConfig>,
     opts: airdnd_scenario::TelemetryOptions,
 ) -> airdnd_scenario::RunTelemetry {
-    airdnd_scenario::run_scenario_observed(plan.config, opts).1
+    let world = airdnd_scenario::WorldInstance::canonical(&plan.config);
+    airdnd_scenario::run_scenario_in_observed(world, plan.config, opts).1
 }
 
 /// Mean over the present values of an optional per-run metric (`None`
@@ -126,7 +121,6 @@ pub fn f1() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f1_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -189,7 +183,6 @@ pub fn f2() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f2_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -262,7 +255,6 @@ pub fn f3() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f3_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -328,7 +320,6 @@ pub fn f4() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f4_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -396,7 +387,6 @@ pub fn t5() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: t5_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -503,7 +493,6 @@ pub fn f7() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f7_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -575,7 +564,6 @@ pub fn f8() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: f8_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }
@@ -626,7 +614,6 @@ pub fn t9() -> ScenarioWorkload {
         run,
         metrics: scenario_metrics,
         tabulate: t9_tabulate,
-        trace: Some(trace_scenario),
         observe: Some(observe_scenario),
     }
 }

@@ -19,9 +19,7 @@ use airdnd_harness::{
     fmt_ci, fmt_f, Aggregate, ExperimentResult, FnWorkload, Manifest, RunPlan, SeedMode, SweepSpec,
     Table,
 };
-use airdnd_scenario::{
-    run_scenario_in, run_scenario_in_traced, ScenarioConfig, ScenarioReport, Strategy,
-};
+use airdnd_scenario::{run_scenario_in, ScenarioConfig, ScenarioReport, Strategy};
 use airdnd_sim::SimDuration;
 use airdnd_worldgen::{DemandKind, FamilyKind, FleetProfile, GridParams};
 use serde::{Deserialize, Serialize};
@@ -73,11 +71,6 @@ fn run_generated(plan: &RunPlan<GenConfig>) -> ScenarioReport {
     run_scenario_in(world, scenario)
 }
 
-fn trace_generated(plan: &RunPlan<GenConfig>, capacity: usize) -> String {
-    let (world, scenario) = materialize(&plan.config);
-    run_scenario_in_traced(world, scenario, capacity).1
-}
-
 fn observe_generated(
     plan: &RunPlan<GenConfig>,
     opts: airdnd_scenario::TelemetryOptions,
@@ -113,7 +106,6 @@ pub fn g1() -> FnWorkload<GenConfig, ScenarioReport> {
         run: run_generated,
         metrics: scenario_metrics_with_stages,
         tabulate: g1_tabulate,
-        trace: Some(trace_generated),
         observe: Some(observe_generated),
     }
 }
@@ -218,7 +210,6 @@ pub fn g2() -> FnWorkload<GenConfig, ScenarioReport> {
         run: run_generated,
         metrics: scenario_metrics_with_stages,
         tabulate: g2_tabulate,
-        trace: Some(trace_generated),
         observe: Some(observe_generated),
     }
 }

@@ -9,8 +9,8 @@
 use airdnd_bench::workloads::market::{market_sim, market_sim_observed, t6};
 use airdnd_bench::workloads::scenario::f2;
 use airdnd_scenario::{
-    extract, run_scenario, run_scenario_observed, validate_spans, EventCategory, RunTelemetry,
-    SpanKind, SpanStatus, TelemetryOptions,
+    extract, run_scenario, run_scenario_in_observed, validate_spans, EventCategory, RunTelemetry,
+    SpanKind, SpanStatus, TelemetryOptions, WorldInstance,
 };
 
 /// Events bounded tight enough that rings demonstrably overflow in quick
@@ -32,7 +32,8 @@ fn f2_reports_are_byte_identical_with_telemetry_on() {
     let mut saw_spans = false;
     for plan in &manifest.runs {
         let plain = serde_json::to_string(&run_scenario(plan.config)).expect("serializes");
-        let (report, telemetry) = run_scenario_observed(plan.config, full());
+        let world = WorldInstance::canonical(&plan.config);
+        let (report, telemetry) = run_scenario_in_observed(world, plan.config, full());
         let observed = serde_json::to_string(&report).expect("serializes");
         assert_eq!(
             plain, observed,
@@ -51,8 +52,11 @@ fn f2_reports_survive_ring_overflow_unchanged() {
     let manifest = (f2().spec)(true).manifest();
     let plan = &manifest.runs[0];
     let plain = serde_json::to_string(&run_scenario(plan.config)).expect("serializes");
-    let (report, telemetry) =
-        run_scenario_observed(plan.config, TelemetryOptions::events(TIGHT).with_spans());
+    let (report, telemetry) = run_scenario_in_observed(
+        WorldInstance::canonical(&plan.config),
+        plan.config,
+        TelemetryOptions::events(TIGHT).with_spans(),
+    );
     assert!(
         telemetry.events.dropped_total() > 0,
         "a {TIGHT}-entry ring must overflow on a quick run"
@@ -74,8 +78,11 @@ fn f2_span_trees_decompose_end_to_end_latency() {
     let mut decomposed = 0usize;
     let mut offloaded = 0usize;
     for plan in &manifest.runs {
-        let (_, telemetry) =
-            run_scenario_observed(plan.config, TelemetryOptions::default().with_spans());
+        let (_, telemetry) = run_scenario_in_observed(
+            WorldInstance::canonical(&plan.config),
+            plan.config,
+            TelemetryOptions::default().with_spans(),
+        );
         let spans = telemetry.spans.spans();
         validate_spans(spans).expect("engine-produced span log is well-formed");
         for root in spans

@@ -38,16 +38,15 @@
 //!    capped-exponential backoff, fencing and shard reassignment — all on
 //!    virtual poll-round time, never wall-clock. [`Transport`] abstracts
 //!    the execution substrate: [`LocalTransport`] (subprocesses, the
-//!    historical [`drive`] path), [`SimHostTransport`] (an in-process
-//!    fault-injectable host pool for deterministic multi-host testing),
-//!    and [`SshTransport`] (the same protocol serialized over a
-//!    [`BytePipe`], so a real remote backend is a drop-in). Artifacts are
-//!    validated against the manifest [fingerprint](Manifest::fingerprint)
-//!    (resume skips valid completed shards; absent, torn, or stale ones
-//!    are discarded and re-run — one unified [`Validation`] outcome), and
-//!    per-shard status plus host assignment/health history land in a
-//!    deterministic `drive-state.json`. [`write_atomic`] (tmp + rename)
-//!    is what makes artifacts all-or-nothing on disk.
+//!    historical [`drive`] path) and [`SimHostTransport`] (an in-process
+//!    fault-injectable host pool for deterministic multi-host testing).
+//!    Artifacts are validated against the manifest
+//!    [fingerprint](Manifest::fingerprint) (resume skips valid completed
+//!    shards; absent, torn, or stale ones are discarded and re-run — one
+//!    unified [`Validation`] outcome), and per-shard status plus host
+//!    assignment/health history land in a deterministic
+//!    `drive-state.json`. [`write_atomic`] (tmp + rename) is what makes
+//!    artifacts all-or-nothing on disk.
 //!
 //! ## Example
 //!
@@ -104,9 +103,8 @@ pub use report::{
 pub use scheduler::{backoff_rounds, drive_with, SpawnCtx, Validation};
 pub use spec::{SeedMode, SweepSpec};
 pub use transport::{
-    BytePipe, CommandSpec, ExecId, FetchRecord, HostHealth, LocalTransport, LoopbackPipe,
-    PollStatus, SimFaults, SimHostTransport, SimJob, SshTransport, Transport, WireRequest,
-    WireResponse,
+    CommandSpec, ExecId, FetchRecord, HostHealth, LocalTransport, PollStatus, SimFaults,
+    SimHostTransport, SimJob, Transport,
 };
 pub use workload::{
     parse_shard, render_shard, shard_artifact_name, AnyWorkload, FnWorkload, MergeError,

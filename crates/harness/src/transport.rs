@@ -5,7 +5,7 @@
 //! process or a socket itself — it speaks the [`Transport`] trait:
 //!
 //! * [`spawn`](Transport::spawn) launches one shard attempt on one host
-//!   from a serializable [`CommandSpec`];
+//!   from a [`CommandSpec`];
 //! * [`poll`](Transport::poll) observes the execution (running / exited /
 //!   lost with its host);
 //! * [`health`](Transport::health) is the heartbeat: reachable,
@@ -16,7 +16,7 @@
 //! * [`fence`](Transport::fence) guarantees a given-up execution can
 //!   never deliver artifacts, so a reassigned shard merges exactly once.
 //!
-//! Three implementations:
+//! Two implementations:
 //!
 //! * [`LocalTransport`] — today's `std::process::Command` path behind the
 //!   trait: one host, always reachable, artifacts written in place (fetch
@@ -27,24 +27,17 @@
 //!   partitions that heal, and per-host artifact staging so fetch loss is
 //!   real. The fault-injection workhorse: a whole multi-host drive through
 //!   it is a deterministic state machine.
-//! * [`SshTransport`] — a stub that serializes the same spawn / poll /
-//!   fetch protocol as JSON over a pluggable [`BytePipe`], so a real SSH
-//!   (or container) backend is a drop-in: implement the pipe, keep the
-//!   driver. [`LoopbackPipe`] serves the wire protocol against any inner
-//!   transport and proves the round-trip loses nothing.
 
 use crate::manifest::Shard;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-/// A serializable description of one shard subprocess: program, argument
-/// vector, and where its stderr should land. This is what crosses the
-/// wire to a remote host — a [`Transport`] turns it into whatever its
-/// execution substrate needs (a local `Command`, an `ssh` invocation, an
-/// in-process simulated job).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A description of one shard subprocess: program, argument vector, and
+/// where its stderr should land. A [`Transport`] turns it into whatever
+/// its execution substrate needs (a local `Command`, an in-process
+/// simulated job).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommandSpec {
     /// Program to execute.
     pub program: String,
@@ -683,328 +676,5 @@ impl Transport for SimHostTransport<'_> {
 
     fn tick(&mut self, _idle: bool) {
         self.advance();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SshTransport (wire-protocol stub)
-// ---------------------------------------------------------------------------
-
-/// A synchronous request/response byte channel to a remote transport
-/// endpoint — the seam where a real SSH (or container-exec) backend plugs
-/// in. Each call sends one serialized [`WireRequest`] and returns the
-/// serialized [`WireResponse`].
-pub trait BytePipe {
-    /// Sends `request` and returns the peer's response bytes.
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, String>;
-}
-
-/// One [`Transport`] operation on the wire. JSON-serialized by
-/// [`SshTransport`]; a remote agent decodes it, performs the operation,
-/// and answers with a [`WireResponse`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum WireRequest {
-    /// How many hosts does the remote pool expose?
-    HostCount,
-    /// Where should host `host`'s shard children write artifacts?
-    StagingDir {
-        /// Host index.
-        host: usize,
-    },
-    /// Launch a shard attempt.
-    Spawn {
-        /// Host index.
-        host: usize,
-        /// Shard index.
-        shard_index: usize,
-        /// Shard count.
-        shard_count: usize,
-        /// The command to run.
-        spec: CommandSpec,
-    },
-    /// Observe an execution.
-    Poll {
-        /// Execution id.
-        exec: u64,
-    },
-    /// Heartbeat a host.
-    Health {
-        /// Host index.
-        host: usize,
-    },
-    /// Deliver an execution's artifacts to the coordinator.
-    Fetch {
-        /// Execution id.
-        exec: u64,
-    },
-    /// Abandon an execution permanently.
-    Fence {
-        /// Execution id.
-        exec: u64,
-    },
-    /// Advance one poll round.
-    Tick {
-        /// Whether the scheduler made no progress this round.
-        idle: bool,
-    },
-}
-
-/// The answer to one [`WireRequest`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum WireResponse {
-    /// Host pool size.
-    HostCount {
-        /// Number of hosts.
-        count: usize,
-    },
-    /// Staging directory (as a path string), when the remote uses one.
-    StagingDir {
-        /// The directory, or `None` for write-in-place.
-        dir: Option<String>,
-    },
-    /// Spawn succeeded.
-    Spawned {
-        /// New execution id.
-        exec: u64,
-    },
-    /// Poll result.
-    Polled {
-        /// `"running"`, `"exited"` or `"lost"`.
-        status: String,
-        /// For `"exited"`: whether it succeeded.
-        success: bool,
-        /// For `"exited"`: the exit code, when reported.
-        exit_code: Option<i32>,
-    },
-    /// Health result: `"reachable"`, `"unreachable"` or `"dead"`.
-    Health {
-        /// The health word.
-        status: String,
-    },
-    /// Fetch/fence/tick acknowledged.
-    Ok,
-    /// The operation failed (spawn refused, fetch failed, …).
-    Err {
-        /// Why.
-        reason: String,
-    },
-}
-
-/// The SSH transport stub: every [`Transport`] call serializes a
-/// [`WireRequest`] as JSON, pushes it through the [`BytePipe`], and
-/// decodes the [`WireResponse`]. A production backend only has to carry
-/// bytes between the driver and a remote agent speaking this protocol —
-/// the scheduler, validation, fencing and merge semantics all ride along
-/// unchanged.
-pub struct SshTransport<P: BytePipe> {
-    pipe: P,
-    host_count: usize,
-    staging: Vec<Option<PathBuf>>,
-}
-
-impl<P: BytePipe> SshTransport<P> {
-    /// Wraps a byte pipe to a remote transport agent. The host count and
-    /// per-host staging directories are fixed per pool, so they are
-    /// queried once here and cached for the `&self` trait methods.
-    pub fn new(pipe: P) -> SshTransport<P> {
-        let mut t = SshTransport {
-            pipe,
-            host_count: 1,
-            staging: Vec::new(),
-        };
-        if let WireResponse::HostCount { count } = t.call(&WireRequest::HostCount) {
-            t.host_count = count.max(1);
-        }
-        t.staging = (0..t.host_count)
-            .map(|host| match t.call(&WireRequest::StagingDir { host }) {
-                WireResponse::StagingDir { dir } => dir.map(PathBuf::from),
-                _ => None,
-            })
-            .collect();
-        t
-    }
-
-    /// Unwraps the pipe (e.g. to recover a loopback's inner transport).
-    pub fn into_pipe(self) -> P {
-        self.pipe
-    }
-
-    fn call(&mut self, request: &WireRequest) -> WireResponse {
-        let bytes = serde_json::to_string(request).expect("wire request serializes");
-        let reply = match self.pipe.exchange(bytes.as_bytes()) {
-            Ok(reply) => reply,
-            Err(reason) => return WireResponse::Err { reason },
-        };
-        let text = match String::from_utf8(reply) {
-            Ok(text) => text,
-            Err(_) => {
-                return WireResponse::Err {
-                    reason: "non-UTF-8 wire response".to_owned(),
-                }
-            }
-        };
-        match serde_json::from_str(&text) {
-            Ok(response) => response,
-            Err(e) => WireResponse::Err {
-                reason: format!("bad wire response: {e}"),
-            },
-        }
-    }
-}
-
-impl<P: BytePipe> Transport for SshTransport<P> {
-    fn host_count(&self) -> usize {
-        self.host_count
-    }
-
-    fn staging_dir(&self, host: usize) -> Option<PathBuf> {
-        self.staging.get(host).cloned().flatten()
-    }
-
-    fn spawn(&mut self, host: usize, shard: Shard, spec: &CommandSpec) -> Result<ExecId, String> {
-        match self.call(&WireRequest::Spawn {
-            host,
-            shard_index: shard.index,
-            shard_count: shard.count,
-            spec: spec.clone(),
-        }) {
-            WireResponse::Spawned { exec } => Ok(ExecId(exec)),
-            WireResponse::Err { reason } => Err(reason),
-            other => Err(format!("unexpected spawn response: {other:?}")),
-        }
-    }
-
-    fn poll(&mut self, exec: ExecId) -> PollStatus {
-        match self.call(&WireRequest::Poll { exec: exec.0 }) {
-            WireResponse::Polled {
-                status,
-                success,
-                exit_code,
-            } => match status.as_str() {
-                "running" => PollStatus::Running,
-                "exited" => PollStatus::Exited { success, exit_code },
-                _ => PollStatus::Lost,
-            },
-            _ => PollStatus::Lost,
-        }
-    }
-
-    fn health(&mut self, host: usize) -> HostHealth {
-        match self.call(&WireRequest::Health { host }) {
-            WireResponse::Health { status } => match status.as_str() {
-                "reachable" => HostHealth::Reachable,
-                "unreachable" => HostHealth::Unreachable,
-                _ => HostHealth::Dead,
-            },
-            _ => HostHealth::Dead,
-        }
-    }
-
-    fn fetch_artifacts(&mut self, exec: ExecId) -> Result<(), String> {
-        match self.call(&WireRequest::Fetch { exec: exec.0 }) {
-            WireResponse::Ok => Ok(()),
-            WireResponse::Err { reason } => Err(reason),
-            other => Err(format!("unexpected fetch response: {other:?}")),
-        }
-    }
-
-    fn fence(&mut self, exec: ExecId) {
-        let _ = self.call(&WireRequest::Fence { exec: exec.0 });
-    }
-
-    fn tick(&mut self, idle: bool) {
-        let _ = self.call(&WireRequest::Tick { idle });
-    }
-}
-
-/// A [`BytePipe`] that serves the wire protocol against an in-process
-/// inner [`Transport`] — the "remote agent" folded into the same process.
-/// `SshTransport<LoopbackPipe<T>>` must behave exactly like `T`, which is
-/// what pins the protocol's completeness in tests.
-pub struct LoopbackPipe<T: Transport> {
-    inner: T,
-}
-
-impl<T: Transport> LoopbackPipe<T> {
-    /// Wraps an inner transport as the remote endpoint.
-    pub fn new(inner: T) -> LoopbackPipe<T> {
-        LoopbackPipe { inner }
-    }
-
-    /// Unwraps the inner transport (e.g. to inspect a sim's fetch log).
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    fn serve(&mut self, request: WireRequest) -> WireResponse {
-        let inner = &mut self.inner;
-        match request {
-            WireRequest::HostCount => WireResponse::HostCount {
-                count: inner.host_count(),
-            },
-            WireRequest::StagingDir { host } => WireResponse::StagingDir {
-                dir: inner
-                    .staging_dir(host)
-                    .map(|p| p.to_string_lossy().into_owned()),
-            },
-            WireRequest::Spawn {
-                host,
-                shard_index,
-                shard_count,
-                spec,
-            } => match inner.spawn(host, Shard::new(shard_index, shard_count), &spec) {
-                Ok(exec) => WireResponse::Spawned { exec: exec.0 },
-                Err(reason) => WireResponse::Err { reason },
-            },
-            WireRequest::Poll { exec } => match inner.poll(ExecId(exec)) {
-                PollStatus::Running => WireResponse::Polled {
-                    status: "running".to_owned(),
-                    success: false,
-                    exit_code: None,
-                },
-                PollStatus::Exited { success, exit_code } => WireResponse::Polled {
-                    status: "exited".to_owned(),
-                    success,
-                    exit_code,
-                },
-                PollStatus::Lost => WireResponse::Polled {
-                    status: "lost".to_owned(),
-                    success: false,
-                    exit_code: None,
-                },
-            },
-            WireRequest::Health { host } => WireResponse::Health {
-                status: match inner.health(host) {
-                    HostHealth::Reachable => "reachable",
-                    HostHealth::Unreachable => "unreachable",
-                    HostHealth::Dead => "dead",
-                }
-                .to_owned(),
-            },
-            WireRequest::Fetch { exec } => match inner.fetch_artifacts(ExecId(exec)) {
-                Ok(()) => WireResponse::Ok,
-                Err(reason) => WireResponse::Err { reason },
-            },
-            WireRequest::Fence { exec } => {
-                inner.fence(ExecId(exec));
-                WireResponse::Ok
-            }
-            WireRequest::Tick { idle } => {
-                inner.tick(idle);
-                WireResponse::Ok
-            }
-        }
-    }
-}
-
-impl<T: Transport> BytePipe for LoopbackPipe<T> {
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, String> {
-        let text = std::str::from_utf8(request).map_err(|_| "non-UTF-8 wire request".to_owned())?;
-        let request: WireRequest =
-            serde_json::from_str(text).map_err(|e| format!("bad wire request: {e}"))?;
-        let response = self.serve(request);
-        Ok(serde_json::to_string(&response)
-            .expect("wire response serializes")
-            .into_bytes())
     }
 }

@@ -36,9 +36,8 @@ pub use fleet::{Fleet, FleetLayout, Vehicle, VehicleKind};
 pub use lifecycle::{FleetAction, FleetEvent, FleetSchedule};
 pub use perception::{fuse_max, observed_fraction, occupied_cells};
 pub use runner::{
-    run_scenario, run_scenario_in, run_scenario_in_observed, run_scenario_in_traced,
-    run_scenario_observed, run_scenario_traced, EgoRoute, ScenarioConfig, ScenarioReport, Strategy,
-    WorldInstance,
+    run_scenario, run_scenario_in, run_scenario_in_observed, EgoRoute, ScenarioConfig,
+    ScenarioReport, Strategy, WorldInstance,
 };
 pub use world::{OcclusionParams, ScenarioWorld};
 

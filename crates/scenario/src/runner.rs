@@ -1379,27 +1379,6 @@ pub fn run_scenario(cfg: ScenarioConfig) -> ScenarioReport {
     .0
 }
 
-/// [`run_scenario`] with the event log enabled: returns the report plus up
-/// to `capacity` events per category rendered in the legacy trace format —
-/// the debug lens `sweep --trace N` exposes.
-pub fn run_scenario_traced(cfg: ScenarioConfig, capacity: usize) -> (ScenarioReport, String) {
-    let (report, telemetry) = run_core(
-        WorldInstance::canonical(&cfg),
-        cfg,
-        TelemetryOptions::events(capacity),
-    );
-    (report, telemetry.events.render())
-}
-
-/// [`run_scenario`] returning the full [`RunTelemetry`] — typed events,
-/// the metrics registry, and (when requested) phase profiling.
-pub fn run_scenario_observed(
-    cfg: ScenarioConfig,
-    opts: TelemetryOptions,
-) -> (ScenarioReport, RunTelemetry) {
-    run_core(WorldInstance::canonical(&cfg), cfg, opts)
-}
-
 /// Runs one scenario on an arbitrary instantiated world (a generated map
 /// with its derived occlusion grid). The canonical [`run_scenario`] is the
 /// special case `run_scenario_in(WorldInstance::canonical(&cfg), cfg)`.
@@ -1407,17 +1386,9 @@ pub fn run_scenario_in(world: WorldInstance, cfg: ScenarioConfig) -> ScenarioRep
     run_core(world, cfg, TelemetryOptions::from_env()).0
 }
 
-/// [`run_scenario_in`] with the event log enabled.
-pub fn run_scenario_in_traced(
-    world: WorldInstance,
-    cfg: ScenarioConfig,
-    capacity: usize,
-) -> (ScenarioReport, String) {
-    let (report, telemetry) = run_core(world, cfg, TelemetryOptions::events(capacity));
-    (report, telemetry.events.render())
-}
-
-/// [`run_scenario_in`] returning the full [`RunTelemetry`].
+/// [`run_scenario_in`] returning the full [`RunTelemetry`] — typed events,
+/// the metrics registry, and (when requested) phase profiling. Pass
+/// `WorldInstance::canonical(&cfg)` for the canonical corner stage.
 pub fn run_scenario_in_observed(
     world: WorldInstance,
     cfg: ScenarioConfig,

@@ -115,8 +115,11 @@ fn churn_is_trace_visible() {
 #[test]
 fn first_join_precedes_first_offload() {
     let cfg = quick_cfg(13);
-    let (report, telemetry) =
-        airdnd_scenario::run_scenario_observed(cfg, TelemetryOptions::events(65_536));
+    let (report, telemetry) = airdnd_scenario::run_scenario_in_observed(
+        WorldInstance::canonical(&cfg),
+        cfg,
+        TelemetryOptions::events(65_536),
+    );
     assert!(report.tasks_completed > 0);
     let log = &telemetry.events;
     let joins = log

@@ -1,61 +1,40 @@
-//! # airdnd-sim — deterministic discrete-event simulation substrate
+//! # airdnd-sim — deterministic simulation primitives
 //!
-//! Every other AirDnD crate runs on top of this engine. It provides:
+//! The shared vocabulary every other AirDnD crate builds on. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual time with nanosecond resolution,
 //! * [`SimRng`] — a seedable, forkable PCG32 random-number generator so every
 //!   experiment is reproducible from a single `u64` seed,
-//! * [`Engine`] — an actor-based discrete-event scheduler with deterministic
-//!   `(time, sequence)` event ordering,
-//! * [`Metrics`] — counters, gauges and reservoir histograms collected during
-//!   a run,
-//! * [`stats`] — Welford/percentile helpers used by the experiment harness,
-//! * [`Trace`] — an optional bounded event trace for debugging protocols.
+//! * [`stats`] — Welford/percentile helpers used by the experiment harness.
 //!
-//! The paper's "asynchronous" orchestration is modelled as message-driven
-//! actors: an actor only reacts to messages, and messages are delivered at
-//! deterministic virtual times. There are no threads and no wall-clock
-//! dependence anywhere in the workspace, which makes every experiment in
+//! The paper's "asynchronous" orchestration is modelled as events delivered
+//! at deterministic virtual times; the event loop itself is
+//! `airdnd_engine::Timeline`. There are no threads and no wall-clock
+//! dependence anywhere in a run, which makes every experiment in
 //! `EXPERIMENTS.md` reproducible bit-for-bit from its seed.
 //!
 //! ## Example
 //!
 //! ```
-//! use airdnd_sim::{Engine, Actor, Context, SimDuration};
+//! use airdnd_sim::{SimDuration, SimRng, SimTime};
 //!
-//! struct Ping { got: u32 }
-//! impl Actor<u32> for Ping {
-//!     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-//!         ctx.send_self(SimDuration::from_millis(5), 1);
-//!     }
-//!     fn on_message(&mut self, ctx: &mut Context<'_, u32>, msg: u32) {
-//!         self.got += msg;
-//!         if self.got < 3 {
-//!             ctx.send_self(SimDuration::from_millis(5), 1);
-//!         }
-//!     }
-//! }
+//! // One seed fixes the whole run; each node forks its own stream.
+//! let root = SimRng::seed_from(42);
+//! let mut node = root.fork(7);
+//! let jitter = SimDuration::from_micros(1 + node.index(1_000).unwrap() as u64);
 //!
-//! let mut engine = Engine::new(42);
-//! let id = engine.spawn(Ping { got: 0 });
-//! engine.run_to_completion();
-//! assert_eq!(engine.now(), airdnd_sim::SimTime::from_millis(15));
-//! # let _ = id;
+//! let due = SimTime::from_millis(15) + jitter;
+//! assert!(due > SimTime::from_millis(15));
+//! assert_eq!(due - SimTime::from_millis(15), jitter);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use engine::{Actor, ActorId, Context, Engine, RunOutcome};
-pub use metrics::{Histogram, Metrics};
 pub use rng::SimRng;
 pub use stats::{percentile, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};

@@ -12,7 +12,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`sim`] | `airdnd-sim` | deterministic discrete-event substrate |
+//! | [`sim`] | `airdnd-sim` | virtual time, seeded RNG, statistics helpers |
 //! | [`geo`] | `airdnd-geo` | roads, mobility, occlusion, spatial index |
 //! | [`engine`] | `airdnd-engine` | event timeline, uniform spatial grid, SoA fleet storage |
 //! | [`radio`] | `airdnd-radio` | V2V channel/MAC + cellular profiles |

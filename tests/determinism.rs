@@ -140,7 +140,6 @@ fn scenario_workload() -> FnWorkload<ScenarioConfig, ScenarioReport> {
             }
             ExperimentResult::table_only(table)
         },
-        trace: None,
         observe: None,
     }
 }
